@@ -1,35 +1,20 @@
 """Evaluator: run an ablation matrix, incrementally and in parallel.
 
-Mirrors :func:`repro.runner.pool.run_experiments`: probe the result
-cache for every cell run, execute the misses (inline for ``jobs == 1``,
-else on the persistent worker pool with the same retry/fallback
-recovery), and store fresh results.  A cell run is a pure function of
-its run ID — all randomness is seeded — so cache hits, pool workers,
-in-process fallbacks and serial execution are all bit-identical.
-
-Fresh documents are round-tripped through JSON before use, so a report
-assembled from fresh results is byte-identical to one assembled from
-cache hits (floats survive the trip exactly; see
-:mod:`repro.runner.cache`).
+Each distinct cell run is one :class:`~repro.runner.pool.Job` of the
+shared keyed evaluator (:func:`repro.runner.pool.evaluate_keyed`), keyed
+by its run ID.  A cell run is a pure function of its run ID — all
+randomness is seeded — so cache hits, pool workers, in-process
+fallbacks and serial execution are all bit-identical.
 """
 
 from __future__ import annotations
 
-import json
-import time
+from functools import partial
 
-from ..core.errors import ExperimentError
-from ..faults import (
-    Clock,
-    FaultPlan,
-    RetryPolicy,
-    SYSTEM_CLOCK,
-    fault_point,
-    faults_active,
-)
+from ..faults import Clock, FaultPlan, RetryPolicy, faults_active
 from ..runner.cache import ResultCache
 from ..runner.fingerprint import source_fingerprint
-from ..runner.pool import collect_resilient, shutdown_pool, warm_pool
+from ..runner.pool import Job, evaluate_keyed
 from ..validation.scoreboard import run_cell
 from .runs import CellRun
 
@@ -44,16 +29,6 @@ def _cell_doc(cell: str, disable: tuple[str, ...], scale: float,
             "models": [c.to_dict() for c in cells]}
 
 
-def _ablation_worker(cell: str, disable: tuple[str, ...], scale: float,
-                     seed: int) -> tuple[dict, float]:
-    """Pool-side cell run (same fault points as the experiment worker)."""
-    fault_point("worker-hang")
-    fault_point("worker-crash")
-    t0 = time.perf_counter()
-    doc = _cell_doc(cell, disable, scale, seed)
-    return doc, time.perf_counter() - t0
-
-
 def evaluate_matrix(runs: list[CellRun], *, scale: float, seed: int,
                     jobs: int = 1, cache: ResultCache | None = None,
                     force: bool = False,
@@ -65,79 +40,19 @@ def evaluate_matrix(runs: list[CellRun], *, scale: float, seed: int,
 
     ``cache=None`` disables caching; ``force=True`` recomputes even on
     a hit (refreshing the entry).  ``faults``/``retry``/
-    ``exec_timeout_s``/``clock`` tune the same fault-injection and
-    recovery machinery :func:`~repro.runner.pool.run_experiments` uses.
+    ``exec_timeout_s``/``clock`` tune the fault-injection and recovery
+    machinery of :func:`~repro.runner.pool.evaluate_keyed`.
     """
-    if jobs < 1:
-        raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-    if isinstance(faults, str):
-        faults = FaultPlan.parse(faults)
-    clock = clock or SYSTEM_CLOCK
-    policy = retry or RetryPolicy(max_attempts=3, base_delay_s=0.05,
-                                  max_delay_s=1.0, seed=seed)
-    # distinct runs only (baseline rows are shared across components)
-    uniq: dict[str, CellRun] = {}
-    for run in runs:
-        uniq.setdefault(run.run_id, run)
-
-    docs: dict[str, dict] = {}
+    fingerprint = source_fingerprint()
+    # baseline runs are shared across components: one job per run ID
+    work = {cr.run_id: Job(
+        key=cr.run_id,
+        meta={"experiment": f"ablate:{cr.cell}", "disable": list(cr.disable),
+              "scale": scale, "seed": seed, "code": fingerprint},
+        run=partial(_cell_doc, cr.cell, cr.disable, scale, seed))
+        for cr in runs}
     with faults_active(faults):
-        misses: list[CellRun] = []
-        for run in uniq.values():
-            label = f"ablate:{run.cell}"
-            if cache is not None and not force:
-                hit = cache.get_doc(run.run_id, label)
-                if hit is not None:
-                    docs[run.run_id] = hit
-                    continue
-            misses.append(run)
-
-        if misses:
-            if jobs == 1 or len(misses) == 1:
-                fresh = {run.run_id: _cell_doc(run.cell, run.disable,
-                                               scale, seed)
-                         for run in misses}
-            else:
-                fresh = {}
-                ex = warm_pool(jobs, seed=seed)
-                futures = {run.run_id: ex.submit(
-                    _ablation_worker, run.cell, run.disable, scale, seed)
-                    for run in misses}
-                by_id = {run.run_id: run for run in misses}
-                try:
-                    for run_id, fut in futures.items():
-                        run = by_id[run_id]
-
-                        def fallback(run=run):
-                            t0 = time.perf_counter()
-                            doc = _cell_doc(run.cell, run.disable, scale,
-                                            seed)
-                            return doc, time.perf_counter() - t0
-
-                        doc, _ = collect_resilient(
-                            _ablation_worker,
-                            (run.cell, run.disable, scale, seed), fut,
-                            fallback=fallback, jobs=jobs, seed=seed,
-                            policy=policy, clock=clock,
-                            timeout_s=exec_timeout_s)
-                        fresh[run_id] = doc
-                except BaseException:
-                    for pending in futures.values():
-                        pending.cancel()
-                    shutdown_pool()
-                    raise
-            fingerprint = source_fingerprint()
-            for run_id, doc in fresh.items():
-                # round-trip so fresh == cached byte for byte downstream
-                doc = json.loads(json.dumps(doc))
-                if cache is not None:
-                    run = uniq[run_id]
-                    if force:
-                        cache.stats.record(f"ablate:{run.cell}", hit=False)
-                    cache.put_doc(run_id, doc, meta={
-                        "experiment": f"ablate:{run.cell}",
-                        "disable": list(run.disable),
-                        "scale": scale, "seed": seed, "code": fingerprint})
-                docs[run_id] = doc
-
-    return docs
+        done = evaluate_keyed(work, jobs=jobs, cache=cache, force=force,
+                              seed=seed, retry=retry,
+                              exec_timeout_s=exec_timeout_s, clock=clock)
+    return {run_id: out.result for run_id, out in done.items()}

@@ -13,22 +13,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 from dataclasses import dataclass
+from functools import partial
 
 from ..core.errors import BoundsError
-from ..faults import RetryPolicy, SYSTEM_CLOCK
 from ..runner.cache import ResultCache
 from ..runner.fingerprint import source_fingerprint
-from ..runner.pool import collect_resilient, shutdown_pool, warm_pool
+from ..runner.pool import Job, evaluate_keyed
 from ..simulator.vector import ENGINES, engine_scope
 from .analytic import cell_bound
-from .cells import (
-    BOUND_CELLS,
-    BoundCell,
-    SCOREBOARD_BOUND_CELLS,
-    resolve_bound_cells,
-)
+from .cells import BOUND_CELLS, SCOREBOARD_BOUND_CELLS, resolve_bound_cells
 from .measure import measure_cell
 from .report import build_report
 
@@ -123,95 +117,32 @@ def bound_run_id(cell: str, *, scale: float, seed: int,
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _bounds_worker(name: str, scale: float, seed: int) -> tuple[dict, float]:
-    """Pool-side cell measurement."""
-    t0 = time.perf_counter()
-    doc = measure_cell(BOUND_CELLS[name], scale=scale, seed=seed)
-    return doc, time.perf_counter() - t0
-
-
-def evaluate_cells(cells: tuple[BoundCell, ...], *, scale: float, seed: int,
-                   jobs: int = 1, cache: ResultCache | None = None,
-                   force: bool = False) -> dict[str, dict]:
-    """Measure every cell; returns ``cell name -> measurement doc``.
-
-    Mirrors the ablation evaluator: probe the result cache, measure the
-    misses (inline for ``jobs == 1``, else on the persistent pool with
-    in-process fallback), round-trip fresh docs through JSON so fresh
-    and cached reports are byte-identical, store them.
-    """
-    if jobs < 1:
-        raise BoundsError(f"jobs must be >= 1, got {jobs}")
-    fingerprint = source_fingerprint()
-    docs: dict[str, dict] = {}
-    misses: list[tuple[BoundCell, str]] = []
-    for cell in cells:
-        run_id = bound_run_id(cell.name, scale=scale, seed=seed,
-                              fingerprint=fingerprint)
-        label = f"bounds:{cell.name}"
-        if cache is not None and not force:
-            hit = cache.get_doc(run_id, label)
-            if hit is not None:
-                docs[cell.name] = hit
-                continue
-        misses.append((cell, run_id))
-
-    if misses:
-        if jobs == 1 or len(misses) == 1:
-            fresh = {cell.name: measure_cell(cell, scale=scale, seed=seed)
-                     for cell, _ in misses}
-        else:
-            fresh = {}
-            policy = RetryPolicy(max_attempts=3, base_delay_s=0.05,
-                                 max_delay_s=1.0, seed=seed)
-            ex = warm_pool(jobs, seed=seed)
-            futures = {cell.name: ex.submit(_bounds_worker, cell.name,
-                                            scale, seed)
-                       for cell, _ in misses}
-            by_name = {cell.name: cell for cell, _ in misses}
-            try:
-                for name, fut in futures.items():
-                    cell = by_name[name]
-
-                    def fallback(cell=cell):
-                        t0 = time.perf_counter()
-                        doc = measure_cell(cell, scale=scale, seed=seed)
-                        return doc, time.perf_counter() - t0
-
-                    doc, _ = collect_resilient(
-                        _bounds_worker, (name, scale, seed), fut,
-                        fallback=fallback, jobs=jobs, seed=seed,
-                        policy=policy, clock=SYSTEM_CLOCK, timeout_s=None)
-                    fresh[name] = doc
-            except BaseException:
-                for pending in futures.values():
-                    pending.cancel()
-                shutdown_pool()
-                raise
-        for (cell, run_id) in misses:
-            # round-trip so fresh == cached byte for byte downstream
-            doc = json.loads(json.dumps(fresh[cell.name]))
-            if cache is not None:
-                if force:
-                    cache.stats.record(f"bounds:{cell.name}", hit=False)
-                cache.put_doc(run_id, doc, meta={
-                    "experiment": f"bounds:{cell.name}",
-                    "scale": scale, "seed": seed, "code": fingerprint})
-            docs[cell.name] = doc
-
-    return docs
-
-
 def bounds(req: BoundsRequest) -> dict:
-    """Run the optimality scoreboard described by ``req``."""
+    """Run the optimality scoreboard described by ``req``.
+
+    Each cell's measurement is one job of the shared keyed evaluator
+    (:func:`repro.runner.pool.evaluate_keyed`), keyed by
+    :func:`bound_run_id`.
+    """
     if req.engine not in ENGINES:
         raise BoundsError(f"unknown engine {req.engine!r}; "
                           f"expected one of {ENGINES}")
+    if req.jobs < 1:
+        raise BoundsError(f"jobs must be >= 1, got {req.jobs}")
     cells = resolve_bound_cells(req.cells)
     cache = ResultCache(req.cache_dir) if req.use_cache else None
+    fingerprint = source_fingerprint()
+    work = {cell.name: Job(
+        key=bound_run_id(cell.name, scale=req.scale, seed=req.seed,
+                         fingerprint=fingerprint),
+        meta={"experiment": f"bounds:{cell.name}", "scale": req.scale,
+              "seed": req.seed, "code": fingerprint},
+        run=partial(measure_cell, cell, scale=req.scale, seed=req.seed))
+        for cell in cells}
     with engine_scope(req.engine):
-        docs = evaluate_cells(cells, scale=req.scale, seed=req.seed,
-                              jobs=req.jobs, cache=cache, force=req.force)
+        done = evaluate_keyed(work, jobs=req.jobs, cache=cache,
+                              force=req.force, seed=req.seed)
+    docs = {name: out.result for name, out in done.items()}
     return build_report(cells, docs, scale=req.scale, seed=req.seed,
                         threshold=req.threshold)
 

@@ -1,4 +1,4 @@
-"""Parallel, cache-aware experiment execution (``repro run --jobs N``)."""
+"""Parallel, cache-aware keyed evaluation (``repro run --jobs N``)."""
 
 from .bench import (
     BenchRecord,
@@ -13,7 +13,7 @@ from .bench import (
 )
 from .cache import CacheStats, ResultCache, default_cache_root
 from .fingerprint import clear_fingerprint_memo, experiment_key, source_fingerprint
-from .pool import RunOutcome, resolve_ids, run_experiments
+from .pool import Job, RunOutcome, evaluate_keyed, resolve_ids, run_experiments
 from .profile import (profile_path, profiled_run, render_ir_phases,
                       render_profile)
 
@@ -33,7 +33,9 @@ __all__ = [
     "experiment_key",
     "source_fingerprint",
     "clear_fingerprint_memo",
+    "Job",
     "RunOutcome",
+    "evaluate_keyed",
     "resolve_ids",
     "run_experiments",
     "profile_path",

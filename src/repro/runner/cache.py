@@ -1,49 +1,51 @@
 """Content-addressed on-disk cache of experiment results.
 
-Layout: one JSON file per entry under ``<root>/results/<key[:2]>/<key>.json``
-holding a metadata header (experiment id, scale, seed, code fingerprint)
-next to the full :class:`~repro.validation.series.ExperimentResult`
-serialisation.  JSON round-trips ``float64`` exactly (``repr`` is the
-shortest round-tripping decimal), so cached series are bit-identical to
-freshly computed ones — which the golden tests assert.
+Layout: one entry per key under ``<root>/results/<key[:2]>/<key>.json``
+in the shared checksum envelope of :mod:`repro.runner.store`
+(``repro-result 3 <sha256>`` header line, then a compact JSON body
+holding a metadata header — experiment id, scale, seed, code
+fingerprint — next to the full
+:class:`~repro.validation.series.ExperimentResult` serialisation).
+JSON round-trips ``float64`` exactly (``repr`` is the shortest
+round-tripping decimal), so cached series are bit-identical to freshly
+computed ones — which the golden tests assert.
 
 The default root is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.  Writes
-are atomic (temp file + ``os.replace``) so a crashed run never leaves a
-truncated entry behind.
+are atomic (unique temp file + ``os.replace``) so a crashed run never
+leaves a truncated entry behind.
 
-Self-healing reads: every entry stores a SHA-256 checksum of its result
-payload, verified on ``get``.  An entry that fails to parse or to verify
-(bit-rot, torn write, stale checksum) is *quarantined* — moved aside
-under ``<root>/quarantine/`` for post-mortems — and reported as a miss,
-so the caller recomputes and the next ``put`` heals the slot.  The
-chaos suite drives this path via the ``cache-corrupt``/``cache-truncate``
-/``cache-stale`` fault points, which mangle the payload between
+Self-healing reads: every read verifies the envelope checksum.  An
+entry that fails to verify or to parse (bit-rot, torn write, stale
+checksum, an older format) is *quarantined* — moved aside under
+``<root>/quarantine/`` for post-mortems — and reported as a miss, so
+the caller recomputes and the next ``put`` heals the slot.  The chaos
+suite drives this path via the ``cache-corrupt``/``cache-truncate``
+/``cache-stale`` fault points, which mangle the envelope between
 serialisation and the atomic rename.
 
 Fleet mode: when a shared-memory arena is attached (``arena=``), the
-exact on-disk entry text is mirrored into it, so sibling worker
-processes hit warm entries without touching the filesystem.  Arena
-entries carry the same embedded checksum as the files and go through
-the same verification on read — a poisoned arena slot is invalidated
-and the read falls back to disk (and from there to recompute).
+exact stored bytes are mirrored into it, so sibling worker processes
+hit warm entries without touching the filesystem.  Arena reads go
+through the same envelope decode as disk reads — a poisoned arena slot
+is invalidated and the read falls back to disk (and from there to
+recompute).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..core.errors import ExperimentError
-from ..faults import fault_flag
+from ..faults import corrupt_text, fault_flag
 from ..validation.series import ExperimentResult
+from .store import ContentStore, seal, unseal
 
 __all__ = ["CacheStats", "ResultCache", "default_cache_root"]
 
-_FORMAT = 2  # v2: adds the result-payload checksum
+_MAGIC = b"repro-result"
+_FORMAT = 3  # v3: the shared store envelope (v2 embedded the checksum)
 
 
 def default_cache_root() -> Path:
@@ -54,15 +56,8 @@ def default_cache_root() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-def _result_checksum(result_doc: dict) -> str:
-    """SHA-256 of the canonical result serialisation.
-
-    Computed over the exact compact JSON text that is stored, so a
-    parse → re-dump on read reproduces it byte for byte (JSON object
-    order is preserved and floats round-trip via ``repr``).
-    """
-    text = json.dumps(result_doc, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+def _result_doc(body: bytes) -> dict:
+    return json.loads(body)["result"]
 
 
 @dataclass
@@ -72,7 +67,7 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    #: entries moved aside after failing parse/checksum verification.
+    #: entries moved aside after failing verification or parsing.
     quarantined: int = 0
     #: per-experiment outcome, id -> "hit" | "miss"
     outcomes: dict[str, str] = field(default_factory=dict)
@@ -96,97 +91,54 @@ class ResultCache:
 
     def __init__(self, root: Path | str | None = None, *, arena=None):
         self.root = Path(root) if root is not None else default_cache_root()
+        self.store = ContentStore(self.root / "results", suffix=".json",
+                                  magic=_MAGIC, fmt=_FORMAT,
+                                  quarantine=self.root / "quarantine")
         self.stats = CacheStats()
         #: optional cross-process entry mirror (fleet mode).
         self.arena = arena
-
-    # ------------------------------------------------------------------
-    def _path(self, key: str) -> Path:
-        if len(key) < 8 or not all(c in "0123456789abcdef" for c in key):
-            raise ExperimentError(f"malformed cache key {key!r}")
-        return self.root / "results" / key[:2] / f"{key}.json"
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a failed entry aside (never raises; best effort)."""
-        dest_dir = self.root / "quarantine"
-        try:
-            dest_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, dest_dir / path.name)
-            self.stats.quarantined += 1
-        except OSError:
-            pass
-
-    @staticmethod
-    def _verify_payload(raw: str) -> dict | None:
-        """Parse + checksum-verify one entry text; None when invalid."""
-        try:
-            doc = json.loads(raw)
-            if doc.get("format") != _FORMAT:
-                raise ValueError("unknown cache format")
-            if doc.get("checksum") != _result_checksum(doc["result"]):
-                raise ValueError("checksum mismatch")
-        except (ValueError, KeyError, TypeError):
-            return None
-        return doc
 
     @staticmethod
     def _arena_key(key: str) -> bytes:
         return f"rc:{key}".encode()
 
-    def get_doc(self, key: str, label: str = "?") -> dict | None:
-        """The raw JSON payload cached under ``key``, or None.
+    def _get(self, key: str, label: str, parse):
+        """``parse(body)`` of the verified entry under ``key``, or None.
 
-        The generic sibling of :meth:`get` — same verification and
-        quarantine behaviour, but the payload is handed back as parsed
-        JSON instead of an :class:`ExperimentResult` (the ablation
-        harness caches per-cell scoreboard documents this way).
+        The arena mirror is tried first; a poisoned slot is dropped and
+        the read falls back to disk.  A disk entry that fails to verify
+        or to parse is quarantined, so the caller recomputes.
         """
         if self.arena is not None:
             hot = self.arena.get(self._arena_key(key))
             if hot is not None:
                 try:
-                    doc = self._verify_payload(hot.decode())
-                except UnicodeDecodeError:
-                    doc = None
-                if doc is not None:
+                    value = parse(unseal(_MAGIC, _FORMAT, hot))
+                except Exception:
+                    self.arena.invalidate(self._arena_key(key))
+                else:
                     self.stats.record(label, hit=True)
-                    return doc["result"]
-                # poisoned slot: drop it and fall back to disk
-                self.arena.invalidate(self._arena_key(key))
-        path = self._path(key)
-        try:
-            with open(path) as fh:
-                raw = fh.read()
-        except OSError:
-            self.stats.record(label, hit=False)
-            return None
-        doc = self._verify_payload(raw)
-        if doc is None:
-            self._quarantine(path)
+                    return value
+        raw, value = self.store.load(key, parse)
+        if value is None:
+            self.stats.quarantined += raw is not None
             self.stats.record(label, hit=False)
             return None
         if self.arena is not None:
-            self.arena.put(self._arena_key(key), raw.encode())
+            self.arena.put(self._arena_key(key), raw)
         self.stats.record(label, hit=True)
-        return doc["result"]
+        return value
+
+    def get_doc(self, key: str, label: str = "?") -> dict | None:
+        """The raw JSON payload cached under ``key``, or None (the
+        ablation and bounds harnesses cache per-cell documents this
+        way)."""
+        return self._get(key, label, _result_doc)
 
     def get(self, key: str, exp_id: str = "?") -> ExperimentResult | None:
-        """The cached result under ``key``, or None.
-
-        Corrupt entries — unparseable JSON, wrong format, or a checksum
-        mismatch — are quarantined and reported as a miss, so callers
-        transparently recompute.
-        """
-        result_doc = self.get_doc(key, exp_id)
-        if result_doc is None:
-            return None
-        try:
-            return ExperimentResult.from_dict(result_doc)
-        except (ValueError, KeyError, TypeError):
-            self._quarantine(self._path(key))
-            self.stats.hits -= 1
-            self.stats.record(exp_id, hit=False)
-            return None
+        """The cached result under ``key``, or None."""
+        return self._get(key, exp_id, lambda body: ExperimentResult
+                         .from_dict(_result_doc(body)))
 
     def put(self, key: str, result: ExperimentResult, *,
             meta: dict | None = None) -> Path:
@@ -197,80 +149,52 @@ class ResultCache:
                 meta: dict | None = None) -> Path:
         """Store a raw JSON payload under ``key`` atomically.
 
-        Everything :meth:`put` layers on top of the payload — checksum,
-        fault points, atomic rename — lives here, so generic documents
-        get the same corruption handling as experiment results.
+        The ``cache-*`` fault points mangle the sealed envelope here,
+        between serialisation and the atomic rename.
         """
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        checksum = _result_checksum(result_doc)
+        body = json.dumps({"meta": meta or {}, "result": result_doc},
+                          separators=(",", ":")).encode()
+        blob = seal(_MAGIC, _FORMAT, body)
         if fault_flag("cache-stale"):
-            checksum = "0" * 64
-        doc = {"format": _FORMAT, "key": key, "checksum": checksum,
-               "meta": meta or {}, "result": result_doc}
-        payload = json.dumps(doc, separators=(",", ":"))
+            nl = blob.index(b"\n")
+            blob = blob[:nl - 64] + b"0" * 64 + blob[nl:]
         if fault_flag("cache-truncate"):
-            payload = payload[: len(payload) // 2]
+            blob = blob[: len(blob) // 2]
         if fault_flag("cache-corrupt"):
-            from ..faults import corrupt_text
-
-            payload = corrupt_text(payload)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+            blob = corrupt_text(blob.decode()).encode()
+        path = self.store.write(key, blob)
         if self.arena is not None:
-            # mirror the exact stored text — fault-mangled payloads stay
+            # mirror the exact stored bytes — fault-mangled payloads stay
             # mangled, so arena readers verify the same bytes as disk
-            self.arena.put(self._arena_key(key), payload.encode())
+            self.arena.put(self._arena_key(key), blob)
         self.stats.stores += 1
         return path
 
     # ------------------------------------------------------------------
     def entries(self) -> list[dict]:
-        """Metadata headers of every cache entry (sorted by experiment id)."""
+        """Metadata headers of the healthy entries (sorted by experiment
+        id) — exactly the entries :meth:`clear` removes.  A damaged entry
+        is listed without metadata until a read quarantines it."""
         out = []
-        results = self.root / "results"
-        if results.is_dir():
-            for path in sorted(results.glob("*/*.json")):
-                try:
-                    with open(path) as fh:
-                        doc = json.load(fh)
-                    out.append({"key": doc.get("key", path.stem),
-                                "bytes": path.stat().st_size,
-                                **doc.get("meta", {})})
-                except (OSError, ValueError):
-                    continue
+        for path in self.store.entries():
+            try:
+                raw = path.read_bytes()
+            except OSError:
+                continue  # removed since the listing
+            try:
+                meta = json.loads(unseal(_MAGIC, _FORMAT, raw))["meta"]
+            except (ValueError, KeyError, TypeError):
+                meta = {}
+            out.append({"key": path.stem, "bytes": len(raw), **meta})
         return sorted(out, key=lambda e: (e.get("experiment", ""), e["key"]))
 
     def quarantined(self) -> list[Path]:
         """The quarantined entry files (newest last)."""
-        qdir = self.root / "quarantine"
+        qdir = self.store.quarantine_dir
         if not qdir.is_dir():
             return []
         return sorted(qdir.glob("*.json"), key=lambda p: p.stat().st_mtime)
 
     def clear(self) -> int:
-        """Delete every cache entry; returns the number removed."""
-        removed = 0
-        results = self.root / "results"
-        if results.is_dir():
-            for path in results.glob("*/*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    continue
-            for sub in results.glob("*"):
-                try:
-                    sub.rmdir()
-                except OSError:
-                    continue
-        return removed
+        """Delete every healthy cache entry; returns the number removed."""
+        return self.store.clear()

@@ -1,16 +1,19 @@
-"""Parallel experiment execution with cache-aware scheduling.
+"""Keyed evaluation with cache-aware scheduling on a warm process pool.
 
-:func:`run_experiments` fans a batch of registered experiments out across
-a process pool.  The flow per experiment:
+:func:`evaluate_keyed` is the one evaluator behind experiments
+(:func:`run_experiments`), ablation cells
+(:func:`repro.ablation.evaluate.evaluate_matrix`) and bound cells
+(:func:`repro.bounds.api.bounds`).  The flow per job:
 
-1. derive its content-addressed key (:mod:`repro.runner.fingerprint`);
-2. probe the on-disk cache — hits are served in milliseconds;
-3. dispatch the misses to ``jobs`` worker processes (or run them inline
-   when ``jobs == 1``), then store each fresh result.
+1. probe the on-disk cache under the job's content-addressed key
+   (:mod:`repro.runner.fingerprint`) — hits are served in milliseconds;
+2. dispatch the misses to ``jobs`` worker processes (or run them inline
+   when ``jobs == 1``);
+3. round-trip each fresh document through JSON and store it.
 
-Determinism: every experiment draws all randomness from generators
-seeded by its ``(seed, scale)`` arguments, so a result is a pure function
-of its cache key — parallel and serial runs are bit-identical, and a
+Determinism: every job draws all randomness from generators seeded by
+its ``(seed, scale)`` arguments, so a result is a pure function of its
+cache key — parallel and serial runs are bit-identical, and a
 cache hit equals a recomputation.  Workers are separate processes, so
 per-process memoisation (calibration fits) never leaks between runs.
 
@@ -29,7 +32,7 @@ points (:mod:`repro.faults`) at worker spawn (``spawn-crash``,
 ``spawn-slow``) and exec (``worker-crash``, ``worker-hang``).  A failed
 or timed-out worker task is retried under a bounded
 :class:`~repro.faults.RetryPolicy` (respawning the pool when it broke);
-once the attempts are exhausted the experiment falls back to in-process
+once the attempts are exhausted the job falls back to in-process
 execution.  Because results are pure functions of their arguments,
 every recovery path is bit-identical to the fault-free run.
 """
@@ -37,13 +40,16 @@ every recovery path is bit-identical to the fault-free run.
 from __future__ import annotations
 
 import atexit
+import json
 import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 from ..core.errors import ExperimentError, FaultInjected
 from ..faults import (
@@ -62,8 +68,9 @@ from ..validation.series import ExperimentResult
 from .cache import ResultCache
 from .fingerprint import experiment_key, source_fingerprint
 
-__all__ = ["RunOutcome", "collect_resilient", "resolve_ids",
-           "run_experiments", "warm_pool", "shutdown_pool"]
+__all__ = ["Job", "RunOutcome", "collect_resilient",
+           "evaluate_keyed", "resolve_ids", "run_experiments", "warm_pool",
+           "shutdown_pool"]
 
 #: machine configurations the worker initializer pre-fits: the three
 #: paper machines at their default partitions (what ``calibrated`` asks
@@ -168,10 +175,12 @@ def shutdown_pool() -> None:
 
 @dataclass
 class RunOutcome:
-    """One experiment's result plus how it was obtained."""
+    """One evaluated job's result plus how it was obtained (the document
+    from :func:`evaluate_keyed`, an :class:`ExperimentResult` from
+    :func:`run_experiments`)."""
 
     id: str
-    result: ExperimentResult
+    result: Any
     cached: bool
     elapsed_s: float
 
@@ -197,39 +206,52 @@ def resolve_ids(ids: list[str]) -> list[str]:
     return out
 
 
-def _worker(exp_id: str, scale: float, seed: int) -> tuple[dict, float]:
-    """Run one experiment in a worker process (dict result pickles small).
+class Job(NamedTuple):
+    """One keyed evaluation for :func:`evaluate_keyed`.
 
-    Returns the serialised result plus the in-worker wall time, so the
-    parent's timing summary reflects compute cost, not queue wait.
+    ``run()`` must be a pure function of ``key`` returning a JSON
+    document, and picklable — a module-level function or a
+    :func:`functools.partial` of one — since it may run in a pool
+    worker.  ``meta`` is stored beside the cached document; its
+    ``"experiment"`` entry names the job in the cache statistics and in
+    ``repro cache info``.
     """
-    from ..experiments import get
 
+    key: str
+    meta: dict
+    run: Callable[[], Any]
+
+
+def _timed(run: Callable[[], Any]) -> tuple[Any, float]:
+    t0 = time.perf_counter()
+    doc = run()
+    return doc, time.perf_counter() - t0
+
+
+def _pool_task(run: Callable[[], Any]) -> tuple[Any, float]:
+    """Every job's pool-side shim: the worker fault points, then the job,
+    timed in the worker (compute cost, not queue wait)."""
     fault_point("worker-hang")
     fault_point("worker-crash")
-    t0 = time.perf_counter()
-    result = get(exp_id).run(scale=scale, seed=seed).to_dict()
-    return result, time.perf_counter() - t0
+    return _timed(run)
 
 
-def collect_resilient(fn, args: tuple, first_fut, *, fallback, jobs: int,
+def collect_resilient(run: Callable[[], Any], first_fut, *, jobs: int,
                       seed: int, policy: RetryPolicy, clock: Clock,
-                      timeout_s: float | None):
+                      timeout_s: float | None) -> tuple[Any, float]:
     """Await one pool task, retrying transient failures under ``policy``.
 
     Attempt 0 consumes the already-submitted future; later attempts
-    resubmit ``fn(*args)`` (rebuilding the pool first when it broke).  A
-    timed-out task is cancelled and retried elsewhere.  Once the bounded
-    attempts are spent, ``fallback()`` runs the task in-process — same
-    arguments, same pure function, bit-identical result.  Shared by
-    :func:`run_experiments` and the ablation evaluator
-    (:mod:`repro.ablation.evaluate`).
+    resubmit :func:`_pool_task` (rebuilding the pool first when it
+    broke).  A timed-out task is cancelled and retried elsewhere.  Once
+    the bounded attempts are spent, ``run`` executes in-process — the
+    same pure function, so a bit-identical result.
     """
     state = {"fut": first_fut}
 
     def attempt(i: int):
         if i > 0:
-            state["fut"] = warm_pool(jobs, seed=seed).submit(fn, *args)
+            state["fut"] = warm_pool(jobs, seed=seed).submit(_pool_task, run)
         fut = state["fut"]
         try:
             return fut.result(timeout=timeout_s)
@@ -244,24 +266,77 @@ def collect_resilient(fn, args: tuple, first_fut, *, fallback, jobs: int,
         return retry_call(attempt, policy=policy, clock=clock,
                           retry_on=_RETRYABLE)
     except RetryExhausted:
-        return fallback()
+        return _timed(run)
 
 
-def _collect_resilient(exp_id: str, first_fut, *, registry, scale: float,
-                       seed: int, jobs: int, policy: RetryPolicy,
-                       clock: Clock,
-                       timeout_s: float | None) -> tuple[dict, float]:
-    """One experiment's :func:`collect_resilient`, in-process fallback
-    included."""
+def evaluate_keyed(work: dict[str, Job], *, jobs: int = 1,
+                   cache: ResultCache | None = None, force: bool = False,
+                   seed: int = 0, retry: RetryPolicy | None = None,
+                   exec_timeout_s: float | None = None,
+                   clock: Clock | None = None) -> dict[str, RunOutcome]:
+    """Evaluate every job of ``work``; returns ``name -> RunOutcome``.
 
-    def fallback() -> tuple[dict, float]:
-        t0 = time.perf_counter()
-        result = registry[exp_id].run(scale=scale, seed=seed)
-        return result.to_dict(), time.perf_counter() - t0
+    Each job's cache key is probed first (``cache=None`` disables the
+    cache; ``force=True`` skips the probe and refreshes the entry).  The
+    misses run inline when ``jobs == 1`` or there is only one, else on
+    the warm pool, each under :func:`collect_resilient` with ``retry``
+    (default: three attempts from 50 ms backoff), an ``exec_timeout_s``
+    deadline per attempt and the in-process fallback.  Every fresh
+    document is round-tripped through JSON before it is stored and
+    returned, so fresh output is byte-identical to a later cache hit.
+    """
+    if jobs < 1:
+        raise ExperimentError(f"jobs must be >= 1, got {jobs}")
+    out: dict[str, RunOutcome] = {}
+    misses: list[str] = []
+    for name, job in work.items():
+        if cache is not None and not force:
+            t0 = time.perf_counter()
+            doc = cache.get_doc(job.key, job.meta["experiment"])
+            if doc is not None:
+                out[name] = RunOutcome(name, doc, True,
+                                       time.perf_counter() - t0)
+                continue
+        misses.append(name)
 
-    return collect_resilient(_worker, (exp_id, scale, seed), first_fut,
-                             fallback=fallback, jobs=jobs, seed=seed,
-                             policy=policy, clock=clock, timeout_s=timeout_s)
+    if jobs == 1 or len(misses) <= 1:
+        fresh = {name: _timed(work[name].run) for name in misses}
+    else:
+        policy = retry or RetryPolicy(max_attempts=3, base_delay_s=0.05,
+                                      max_delay_s=1.0, seed=seed)
+        ex = warm_pool(jobs, seed=seed)
+        futures = {name: ex.submit(_pool_task, work[name].run)
+                   for name in misses}
+        try:
+            fresh = {name: collect_resilient(
+                work[name].run, fut, jobs=jobs, seed=seed, policy=policy,
+                clock=clock or SYSTEM_CLOCK, timeout_s=exec_timeout_s)
+                for name, fut in futures.items()}
+        except BaseException:
+            # never leak a busy pool past an unexpected failure: cancel
+            # what has not started, reap the workers, and let the error
+            # propagate (regression-tested)
+            for pending in futures.values():
+                pending.cancel()
+            shutdown_pool()
+            raise
+
+    for name, (doc, elapsed) in fresh.items():
+        job = work[name]
+        doc = json.loads(json.dumps(doc))
+        if cache is not None:
+            if force:
+                cache.stats.record(job.meta["experiment"], hit=False)
+            cache.put_doc(job.key, doc, meta=job.meta)
+        out[name] = RunOutcome(name, doc, False, elapsed)
+    return out
+
+
+def _worker(exp_id: str, scale: float, seed: int) -> dict:
+    """Run one experiment: the job function of :func:`run_experiments`."""
+    from ..experiments import get
+
+    return get(exp_id).run(scale=scale, seed=seed).to_dict()
 
 
 def run_experiments(ids: list[str], *, scale: float = 1.0, seed: int = 0,
@@ -280,9 +355,8 @@ def run_experiments(ids: list[str], *, scale: float = 1.0, seed: int = 0,
 
     ``faults`` installs a :class:`~repro.faults.FaultPlan` for the
     duration of the batch (also active inside pool workers);
-    ``retry``/``exec_timeout_s``/``clock`` tune the recovery path —
-    bounded backoff attempts per worker task, a per-task deadline, and
-    the clock the backoff sleeps against (a ``FakeClock`` in tests).
+    ``retry``/``exec_timeout_s``/``clock`` tune the recovery path of
+    :func:`evaluate_keyed`.
 
     ``engine`` pins the simulation engine for the batch (``None`` /
     ``"auto"`` keep the ambient default).  Engines are observationally
@@ -292,75 +366,24 @@ def run_experiments(ids: list[str], *, scale: float = 1.0, seed: int = 0,
     from ..experiments import all_experiments
     from ..simulator.vector import ENGINES, engine_scope
 
-    if jobs < 1:
-        raise ExperimentError(f"jobs must be >= 1, got {jobs}")
     if engine is not None and engine not in ENGINES:
         raise ExperimentError(
             f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if isinstance(faults, str):
-        faults = FaultPlan.parse(faults)
     ids = resolve_ids(ids)
     registry = all_experiments()
-    clock = clock or SYSTEM_CLOCK
-    policy = retry or RetryPolicy(max_attempts=3, base_delay_s=0.05,
-                                  max_delay_s=1.0, seed=seed)
 
     with faults_active(faults), engine_scope(engine):
         fingerprint = source_fingerprint()
-        keys = {exp_id: experiment_key(
-            exp_id, scale=scale, seed=seed, fingerprint=fingerprint,
-            inputs=registry[exp_id].cache_inputs())
-            for exp_id in ids}
-
-        outcomes: dict[str, RunOutcome] = {}
-        misses: list[str] = []
-        for exp_id in ids:
-            if cache is not None and not force:
-                t0 = time.perf_counter()
-                hit = cache.get(keys[exp_id], exp_id)
-                if hit is not None:
-                    outcomes[exp_id] = RunOutcome(
-                        id=exp_id, result=hit, cached=True,
-                        elapsed_s=time.perf_counter() - t0)
-                    continue
-            misses.append(exp_id)
-
-        if misses:
-            if jobs == 1 or len(misses) == 1:
-                fresh = {}
-                for exp_id in misses:
-                    t0 = time.perf_counter()
-                    result = registry[exp_id].run(scale=scale, seed=seed)
-                    fresh[exp_id] = (result, time.perf_counter() - t0)
-            else:
-                fresh = {}
-                ex = warm_pool(jobs, seed=seed)
-                futures = {exp_id: ex.submit(_worker, exp_id, scale, seed)
-                           for exp_id in misses}
-                try:
-                    for exp_id, fut in futures.items():
-                        doc, elapsed = _collect_resilient(
-                            exp_id, fut, registry=registry, scale=scale,
-                            seed=seed, jobs=jobs, policy=policy,
-                            clock=clock, timeout_s=exec_timeout_s)
-                        fresh[exp_id] = (ExperimentResult.from_dict(doc),
-                                         elapsed)
-                except BaseException:
-                    # never leak a busy pool past an unexpected failure:
-                    # cancel what has not started, reap the workers, and
-                    # let the error propagate (regression-tested)
-                    for pending in futures.values():
-                        pending.cancel()
-                    shutdown_pool()
-                    raise
-            for exp_id, (result, elapsed) in fresh.items():
-                if cache is not None:
-                    if force:
-                        cache.stats.record(exp_id, hit=False)
-                    cache.put(keys[exp_id], result, meta={
-                        "experiment": exp_id, "scale": scale, "seed": seed,
-                        "code": fingerprint})
-                outcomes[exp_id] = RunOutcome(id=exp_id, result=result,
-                                              cached=False, elapsed_s=elapsed)
-
-    return [outcomes[exp_id] for exp_id in ids]
+        work = {exp_id: Job(
+            key=experiment_key(exp_id, scale=scale, seed=seed,
+                               fingerprint=fingerprint,
+                               inputs=registry[exp_id].cache_inputs()),
+            meta={"experiment": exp_id, "scale": scale, "seed": seed,
+                  "code": fingerprint},
+            run=partial(_worker, exp_id, scale, seed)) for exp_id in ids}
+        done = evaluate_keyed(work, jobs=jobs, cache=cache, force=force,
+                              seed=seed, retry=retry,
+                              exec_timeout_s=exec_timeout_s, clock=clock)
+    return [replace(done[exp_id],
+                    result=ExperimentResult.from_dict(done[exp_id].result))
+            for exp_id in ids]

@@ -67,12 +67,13 @@ class TestQuarantineAndHeal:
         faults: flip one character on disk by hand."""
         cache = ResultCache(tmp_path)
         path = cache.put(KEY, result)
-        raw = path.read_text()
-        i = raw.index('"result"') + 20
-        flipped = raw[:i] + ("1" if raw[i] != "1" else "2") + raw[i + 1:]
+        head, body = path.read_text().split("\n", 1)
+        i = body.index('"result"') + 20
+        flipped = body[:i] + ("1" if body[i] != "1" else "2") + body[i + 1:]
         assert json.loads(flipped)  # still valid JSON — only the sum fails
-        path.write_text(flipped)
+        path.write_text(head + "\n" + flipped)
         assert cache.get(KEY) is None
+        assert cache.stats.misses == 1
         assert cache.stats.quarantined == 1
 
 

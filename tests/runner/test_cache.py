@@ -1,7 +1,5 @@
 """Tests for the content-addressed result cache."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -59,10 +57,14 @@ class TestRoundTrip:
     def test_unknown_format_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         path = cache.put(KEY, _result())
-        doc = json.loads(path.read_text())
-        doc["format"] = 999
-        path.write_text(json.dumps(doc))
+        head, body = path.read_bytes().split(b"\n", 1)
+        magic, _, checksum = head.split(b" ")
+        # an intact body under a format number this code does not know
+        path.write_bytes(b"%s 999 %s\n" % (magic, checksum) + body)
         assert cache.get(KEY) is None
+        assert cache.stats.misses == 1
+        assert cache.stats.quarantined == 1
+        assert len(cache.quarantined()) == 1
 
     def test_malformed_key_rejected(self, tmp_path):
         cache = ResultCache(tmp_path)
